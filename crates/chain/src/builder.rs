@@ -4,8 +4,10 @@ use crate::address::Address;
 use crate::amount::Amount;
 use crate::block::{Block, BlockHeader};
 use crate::chainstate::ChainState;
+use crate::merkle::merkle_root;
 use crate::params::Params;
 use crate::transaction::{OutPoint, Transaction, TxIn, TxOut};
+use fistful_crypto::hash::Hash256;
 use fistful_crypto::keys::KeyPair;
 
 /// Builds a transaction input-by-input, output-by-output.
@@ -69,12 +71,19 @@ impl TransactionBuilder {
 pub struct BlockBuilder<'a> {
     params: &'a Params,
     transactions: Vec<Transaction>,
+    /// `transactions[i].txid()`, computed once as each transaction is added.
+    txids: Vec<Hash256>,
 }
 
 impl<'a> BlockBuilder<'a> {
     /// A fresh builder.
     pub fn new(params: &'a Params) -> BlockBuilder<'a> {
-        BlockBuilder { params, transactions: Vec::new() }
+        BlockBuilder { params, transactions: Vec::new(), txids: Vec::new() }
+    }
+
+    fn push_coinbase(&mut self, coinbase: Transaction) {
+        self.txids.insert(0, coinbase.txid());
+        self.transactions.insert(0, coinbase);
     }
 
     /// Adds the coinbase paying `value` to `address`; the witness encodes
@@ -89,7 +98,7 @@ impl<'a> BlockBuilder<'a> {
             outputs: vec![TxOut { value, address }],
             lock_time: 0,
         };
-        self.transactions.insert(0, coinbase);
+        self.push_coinbase(coinbase);
         self
     }
 
@@ -108,19 +117,33 @@ impl<'a> BlockBuilder<'a> {
                 .collect(),
             lock_time: 0,
         };
-        self.transactions.insert(0, coinbase);
+        self.push_coinbase(coinbase);
         self
     }
 
     /// Appends a non-coinbase transaction.
     pub fn tx(mut self, tx: Transaction) -> Self {
+        self.txids.push(tx.txid());
         self.transactions.push(tx);
         self
     }
 
     /// Appends many transactions.
-    pub fn txs(mut self, txs: impl IntoIterator<Item = Transaction>) -> Self {
+    pub fn txs(self, txs: impl IntoIterator<Item = Transaction>) -> Self {
+        txs.into_iter().fold(self, |b, tx| b.tx(tx))
+    }
+
+    /// Appends transactions whose txids the caller already holds
+    /// (`txids[i]` is `txs[i].txid()`), so the merkle root is built without
+    /// hashing them again. A wrong id yields a block that
+    /// [`check_block`](crate::validate::check_block) rejects with
+    /// `BadMerkleRoot`, since validation rehashes every transaction.
+    ///
+    /// Panics if the two vectors differ in length.
+    pub fn txs_with_ids(mut self, txs: Vec<Transaction>, txids: Vec<Hash256>) -> Self {
+        assert_eq!(txs.len(), txids.len(), "one txid per transaction");
         self.transactions.extend(txs);
+        self.txids.extend(txids);
         self
     }
 
@@ -132,13 +155,12 @@ impl<'a> BlockBuilder<'a> {
             header: BlockHeader {
                 version: 1,
                 prev_hash: chain.tip_hash(),
-                merkle_root: fistful_crypto::hash::Hash256::ZERO,
+                merkle_root: merkle_root(&self.txids),
                 time: self.params.time_at(height),
                 nonce: 0,
             },
             transactions: self.transactions,
         };
-        block.header.merkle_root = block.computed_merkle_root();
         if self.params.verify_pow {
             block.mine(&self.params.pow_target);
         }
@@ -205,6 +227,31 @@ mod tests {
             .build_on(&chain);
         assert!(block.transactions[0].is_coinbase());
         assert_eq!(block.transactions[0].outputs.len(), 2);
+    }
+
+    #[test]
+    fn known_txids_build_the_same_block() {
+        let params = Params::regtest();
+        let chain = ChainState::new(params.clone());
+        let txs: Vec<Transaction> = (0..5u8)
+            .map(|i| {
+                TransactionBuilder::new()
+                    .input(OutPoint { txid: sha256d(&[i]), vout: 0 })
+                    .output(Address::from_seed(i as u64), Amount::from_btc(1))
+                    .build_unsigned()
+            })
+            .collect();
+        let txids = txs.iter().map(|t| t.txid()).collect();
+        let hashed = BlockBuilder::new(&params)
+            .coinbase_to(Address::from_seed(9), 0, Amount::from_btc(50))
+            .txs(txs.clone())
+            .build_on(&chain);
+        let known = BlockBuilder::new(&params)
+            .coinbase_to(Address::from_seed(9), 0, Amount::from_btc(50))
+            .txs_with_ids(txs, txids)
+            .build_on(&chain);
+        assert_eq!(hashed, known);
+        assert_eq!(known.header.merkle_root, known.computed_merkle_root());
     }
 
     #[test]

@@ -6,7 +6,7 @@ use crate::block::Block;
 use crate::params::Params;
 use crate::resolve::ResolvedChain;
 use crate::utxo::UtxoSet;
-use crate::validate::{check_block, ValidationError};
+use crate::validate::{check_block_txids, ValidationError};
 use fistful_crypto::hash::Hash256;
 
 /// A validated, linear chain of blocks with derived state.
@@ -84,10 +84,10 @@ impl ChainState {
     pub fn accept_block(&mut self, block: Block) -> Result<(), ValidationError> {
         let height = self.next_height();
         let tip = self.tip_hash();
-        let fees = check_block(&block, &tip, &self.utxos, height, &self.params)?;
-        for tx in &block.transactions {
-            self.resolved.add_tx(tx, &self.utxos, height, block.header.time);
-            self.utxos.apply(tx, height);
+        let (fees, txids) = check_block_txids(&block, &tip, &self.utxos, height, &self.params)?;
+        for (tx, &txid) in block.transactions.iter().zip(&txids) {
+            self.resolved.add_tx_with_txid(tx, txid, &self.utxos, height, block.header.time);
+            self.utxos.apply_with_txid(tx, txid, height);
         }
         self.total_fees = self
             .total_fees

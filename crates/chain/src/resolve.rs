@@ -373,6 +373,19 @@ impl ResolvedChain {
     /// [`spent_in`](Self::spent_in)) are documented as height-sorted and the
     /// wait-window scan in `fistful_core` prunes on that invariant.
     pub fn add_tx(&mut self, tx: &Transaction, utxos: &UtxoSet, height: u64, time: u64) -> TxId {
+        self.add_tx_with_txid(tx, tx.txid(), utxos, height, time)
+    }
+
+    /// [`add_tx`](Self::add_tx) for a transaction whose `txid` the caller
+    /// already computed.
+    pub(crate) fn add_tx_with_txid(
+        &mut self,
+        tx: &Transaction,
+        txid: Hash256,
+        utxos: &UtxoSet,
+        height: u64,
+        time: u64,
+    ) -> TxId {
         let id = self.txs.len() as TxId;
         match self.block_spans.last() {
             Some(&(h, _)) if height < h => {
@@ -381,7 +394,6 @@ impl ResolvedChain {
             Some(&(h, _)) if height == h => {}
             _ => self.block_spans.push((height, id)),
         }
-        let txid = tx.txid();
         let is_coinbase = tx.is_coinbase();
 
         let mut inputs = Vec::with_capacity(if is_coinbase { 0 } else { tx.inputs.len() });

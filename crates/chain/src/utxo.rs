@@ -3,6 +3,7 @@
 use crate::address::Address;
 use crate::amount::Amount;
 use crate::transaction::{OutPoint, Transaction};
+use fistful_crypto::hash::Hash256;
 use std::collections::HashMap;
 
 /// Metadata for one unspent output.
@@ -60,6 +61,17 @@ impl UtxoSet {
     ///
     /// Panics if an input is not present — validation must run first.
     pub fn apply(&mut self, tx: &Transaction, height: u64) -> Vec<UtxoEntry> {
+        self.apply_with_txid(tx, tx.txid(), height)
+    }
+
+    /// [`apply`](Self::apply) for a transaction whose `txid` the caller
+    /// already computed.
+    pub(crate) fn apply_with_txid(
+        &mut self,
+        tx: &Transaction,
+        txid: Hash256,
+        height: u64,
+    ) -> Vec<UtxoEntry> {
         let mut consumed = Vec::with_capacity(tx.inputs.len());
         if !tx.is_coinbase() {
             for input in &tx.inputs {
@@ -70,7 +82,6 @@ impl UtxoSet {
                 consumed.push(entry);
             }
         }
-        let txid = tx.txid();
         let coinbase = tx.is_coinbase();
         for (vout, output) in tx.outputs.iter().enumerate() {
             self.entries.insert(

@@ -2,11 +2,12 @@
 
 use crate::amount::{Amount, MAX_MONEY};
 use crate::block::Block;
+use crate::merkle::merkle_root;
 use crate::params::Params;
 use crate::transaction::{OutPoint, Transaction};
-use crate::utxo::UtxoSet;
+use crate::utxo::{UtxoEntry, UtxoSet};
 use fistful_crypto::hash::Hash256;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 /// Reasons a transaction or block is rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -147,14 +148,22 @@ pub fn check_tx_inputs(
     height: u64,
     params: &Params,
 ) -> Result<Amount, ValidationError> {
+    check_inputs_with(tx, |op| utxos.get(op), height, params)
+}
+
+/// [`check_tx_inputs`] against any outpoint lookup.
+fn check_inputs_with<'u>(
+    tx: &Transaction,
+    lookup: impl Fn(&OutPoint) -> Option<&'u UtxoEntry>,
+    height: u64,
+    params: &Params,
+) -> Result<Amount, ValidationError> {
     if tx.is_coinbase() {
         return Ok(Amount::ZERO);
     }
     let mut input_value = Amount::ZERO;
     for (i, input) in tx.inputs.iter().enumerate() {
-        let entry = utxos
-            .get(&input.prevout)
-            .ok_or(ValidationError::MissingInput(input.prevout))?;
+        let entry = lookup(&input.prevout).ok_or(ValidationError::MissingInput(input.prevout))?;
         if entry.coinbase && height < entry.height + params.coinbase_maturity {
             return Err(ValidationError::ImmatureCoinbaseSpend {
                 created: entry.height,
@@ -192,6 +201,20 @@ pub fn check_block(
     height: u64,
     params: &Params,
 ) -> Result<Amount, ValidationError> {
+    check_block_txids(block, prev_hash, utxos, height, params).map(|(fees, _)| fees)
+}
+
+/// [`check_block`], also returning the txid of every transaction in block
+/// order. Each transaction is hashed once; the ids serve the merkle check
+/// here and let [`ChainState::accept_block`](crate::chainstate::ChainState)
+/// apply the block without hashing again.
+pub(crate) fn check_block_txids(
+    block: &Block,
+    prev_hash: &Hash256,
+    utxos: &UtxoSet,
+    height: u64,
+    params: &Params,
+) -> Result<(Amount, Vec<Hash256>), ValidationError> {
     if block.transactions.is_empty() {
         return Err(ValidationError::EmptyBlock);
     }
@@ -201,7 +224,8 @@ pub fn check_block(
     if block.transactions[1..].iter().any(|t| t.is_coinbase()) {
         return Err(ValidationError::ExtraCoinbase);
     }
-    if block.header.merkle_root != block.computed_merkle_root() {
+    let txids: Vec<Hash256> = block.transactions.iter().map(|t| t.txid()).collect();
+    if block.header.merkle_root != merkle_root(&txids) {
         return Err(ValidationError::BadMerkleRoot);
     }
     if params.verify_pow && !block.header.meets_target(&params.pow_target) {
@@ -215,11 +239,13 @@ pub fn check_block(
     }
 
     // Per-transaction checks. Later transactions may spend outputs created
-    // earlier in the same block, so apply to a scratch UTXO set as we go.
-    let mut scratch = utxos.clone();
+    // earlier in the same block, so those outputs go into an overlay that
+    // lookups try before the caller's set. Spent outpoints need no removal:
+    // `spent_in_block` rejects a second spend before any lookup.
+    let mut created: HashMap<OutPoint, UtxoEntry> = HashMap::new();
     let mut spent_in_block: HashSet<OutPoint> = HashSet::new();
     let mut total_fees = Amount::ZERO;
-    for tx in &block.transactions {
+    for (tx, &txid) in block.transactions.iter().zip(&txids) {
         check_transaction(tx)?;
         if !tx.is_coinbase() {
             for input in &tx.inputs {
@@ -228,11 +254,18 @@ pub fn check_block(
                 }
             }
         }
-        let fee = check_tx_inputs(tx, &scratch, height, params)?;
+        let lookup = |op: &OutPoint| created.get(op).or_else(|| utxos.get(op));
+        let fee = check_inputs_with(tx, lookup, height, params)?;
         total_fees = total_fees
             .checked_add(fee)
             .ok_or(ValidationError::OutputValueOutOfRange)?;
-        scratch.apply(tx, height);
+        let coinbase = tx.is_coinbase();
+        for (vout, out) in tx.outputs.iter().enumerate() {
+            created.insert(
+                OutPoint { txid, vout: vout as u32 },
+                UtxoEntry { value: out.value, address: out.address, height, coinbase },
+            );
+        }
     }
 
     // Coinbase value ceiling: subsidy + fees.
@@ -246,7 +279,7 @@ pub fn check_block(
     if claimed > allowed {
         return Err(ValidationError::ExcessiveCoinbase { claimed, allowed });
     }
-    Ok(total_fees)
+    Ok((total_fees, txids))
 }
 
 #[cfg(test)]
@@ -428,6 +461,92 @@ mod tests {
             check_block(&bad, &Hash256::ZERO, &utxos, 1, &p),
             Err(ValidationError::DoubleSpendInBlock(op))
         );
+    }
+
+    /// Sorted copy of a UTXO set, for before/after comparisons.
+    fn snapshot(utxos: &UtxoSet) -> Vec<(OutPoint, UtxoEntry)> {
+        let mut v: Vec<_> = utxos.iter().map(|(op, e)| (*op, *e)).collect();
+        v.sort_by_key(|(op, _)| (op.txid, op.vout));
+        v
+    }
+
+    #[test]
+    fn overlay_rejects_spend_of_output_created_later_in_block() {
+        let p = params();
+        let mut utxos = UtxoSet::new();
+        let funding = cb(0, Amount::from_btc(50));
+        utxos.apply(&funding, 0);
+        let creator = Transaction {
+            version: 1,
+            inputs: vec![TxIn::unsigned(OutPoint { txid: funding.txid(), vout: 0 })],
+            outputs: vec![TxOut { value: Amount::from_btc(50), address: Address::from_seed(2) }],
+            lock_time: 0,
+        };
+        let later_op = OutPoint { txid: creator.txid(), vout: 0 };
+        let spender = Transaction {
+            version: 1,
+            inputs: vec![TxIn::unsigned(later_op)],
+            outputs: vec![TxOut { value: Amount::from_btc(50), address: Address::from_seed(3) }],
+            lock_time: 0,
+        };
+        // The spender comes first; the output it spends appears after it.
+        let b = block_with(
+            vec![cb(1, Amount::from_btc(50)), spender, creator],
+            Hash256::ZERO,
+            p.time_at(1),
+        );
+        assert_eq!(
+            check_block(&b, &Hash256::ZERO, &utxos, 1, &p),
+            Err(ValidationError::MissingInput(later_op))
+        );
+    }
+
+    #[test]
+    fn overlay_keeps_coinbase_flag_for_same_block_spend() {
+        let mut p = params();
+        p.coinbase_maturity = 1;
+        let coinbase = cb(3, Amount::from_btc(50));
+        let spend = Transaction {
+            version: 1,
+            inputs: vec![TxIn::unsigned(OutPoint { txid: coinbase.txid(), vout: 0 })],
+            outputs: vec![TxOut { value: Amount::from_btc(50), address: Address::from_seed(2) }],
+            lock_time: 0,
+        };
+        let b = block_with(vec![coinbase, spend], Hash256::ZERO, p.time_at(3));
+        assert_eq!(
+            check_block(&b, &Hash256::ZERO, &UtxoSet::new(), 3, &p),
+            Err(ValidationError::ImmatureCoinbaseSpend { created: 3, spent: 3 })
+        );
+        // Without a maturity rule the same block is valid.
+        p.coinbase_maturity = 0;
+        assert!(check_block(&b, &Hash256::ZERO, &UtxoSet::new(), 3, &p).is_ok());
+    }
+
+    #[test]
+    fn check_block_leaves_callers_utxo_set_unchanged() {
+        let p = params();
+        let mut utxos = UtxoSet::new();
+        let funding = cb(0, Amount::from_btc(50));
+        utxos.apply(&funding, 0);
+        let before = snapshot(&utxos);
+        let op = OutPoint { txid: funding.txid(), vout: 0 };
+        let spend = |seed| Transaction {
+            version: 1,
+            inputs: vec![TxIn::unsigned(op)],
+            outputs: vec![TxOut { value: Amount::from_btc(50), address: Address::from_seed(seed) }],
+            lock_time: 0,
+        };
+        let good = block_with(vec![cb(1, Amount::from_btc(50)), spend(2)], Hash256::ZERO,
+                              p.time_at(1));
+        assert!(check_block(&good, &Hash256::ZERO, &utxos, 1, &p).is_ok());
+        assert_eq!(snapshot(&utxos), before, "after an accepted block");
+        let bad = block_with(vec![cb(1, Amount::from_btc(50)), spend(2), spend(3)],
+                             Hash256::ZERO, p.time_at(1));
+        assert_eq!(
+            check_block(&bad, &Hash256::ZERO, &utxos, 1, &p),
+            Err(ValidationError::DoubleSpendInBlock(op))
+        );
+        assert_eq!(snapshot(&utxos), before, "after a rejected block");
     }
 
     #[test]
