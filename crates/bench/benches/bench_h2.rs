@@ -36,6 +36,22 @@ fn bench_identify(c: &mut Criterion) {
     g.finish();
 }
 
+/// The fully refined pass on the default-scale economy (~65k
+/// transactions), the one the batch pipeline clusters. Throughput counts
+/// transactions, so the per-element time is the cost per transaction.
+fn bench_identify_default(c: &mut Criterion) {
+    let wb = Workbench::build(SimConfig::default());
+    let chain = wb.eco.chain.resolved();
+    let refined = wb.refined_config();
+    let mut g = c.benchmark_group("heuristic2_default");
+    g.sample_size(20);
+    g.throughput(Throughput::Elements(chain.tx_count() as u64));
+    g.bench_function("fully_refined", |b| {
+        b.iter(|| std::hint::black_box(change::identify(chain, &refined)))
+    });
+    g.finish();
+}
+
 fn bench_estimator(c: &mut Criterion) {
     let wb = workbench();
     let chain = wb.eco.chain.resolved();
@@ -54,5 +70,5 @@ fn bench_estimator(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_identify, bench_estimator);
+criterion_group!(benches, bench_identify, bench_identify_default, bench_estimator);
 criterion_main!(benches);

@@ -22,7 +22,7 @@
 //! * **prior-self-change exclusion** — if any output address was previously
 //!   used as a self-change address, nothing is tagged.
 
-use fistful_chain::resolve::{AddressId, ResolvedChain, ResolvedTx, TxId};
+use fistful_chain::resolve::{AddressId, ResolvedChain, ResolvedInput, ResolvedTx, TxId};
 use std::collections::HashSet;
 
 /// Blocks per day at the 10-minute target.
@@ -206,11 +206,45 @@ pub(crate) fn precondition_skip(tx: &ResolvedTx, config: &ChangeConfig) -> Optio
     }
 
     // Condition 3: no self-change address.
-    let input_set: HashSet<AddressId> = tx.inputs.iter().map(|i| i.address).collect();
-    if tx.outputs.iter().any(|o| input_set.contains(&o.address)) {
+    let inputs = InputAddresses::of(tx);
+    if tx.outputs.iter().any(|o| inputs.contains(o.address)) {
         return Some(SkipReason::SelfChange);
     }
     None
+}
+
+/// Input × output pairs above which [`InputAddresses`] sorts the inputs
+/// once instead of scanning them per output. Every transaction of the
+/// default and `paper_scale` economies (at most 232 and 286 pairs) stays
+/// below it.
+const DIRECT_SCAN_PAIRS: usize = 1024;
+
+/// "Is this address among the transaction's inputs?", answered without
+/// hashing: a direct scan over the inputs for ordinary transactions, or a
+/// binary search over the sorted input addresses for ones whose
+/// input × output product exceeds [`DIRECT_SCAN_PAIRS`]. Only the latter
+/// allocates.
+enum InputAddresses<'a> {
+    Scan(&'a [ResolvedInput]),
+    Sorted(Vec<AddressId>),
+}
+
+impl<'a> InputAddresses<'a> {
+    fn of(tx: &'a ResolvedTx) -> InputAddresses<'a> {
+        if tx.inputs.len().saturating_mul(tx.outputs.len()) <= DIRECT_SCAN_PAIRS {
+            return InputAddresses::Scan(&tx.inputs);
+        }
+        let mut sorted: Vec<AddressId> = tx.inputs.iter().map(|i| i.address).collect();
+        sorted.sort_unstable();
+        InputAddresses::Sorted(sorted)
+    }
+
+    fn contains(&self, addr: AddressId) -> bool {
+        match self {
+            InputAddresses::Scan(inputs) => inputs.iter().any(|i| i.address == addr),
+            InputAddresses::Sorted(sorted) => sorted.binary_search(&addr).is_ok(),
+        }
+    }
 }
 
 /// Conditions 1 + 4: exactly one output address makes its first appearance
@@ -314,6 +348,9 @@ impl ChangeScanner {
 
     /// The local slot for `addr`, or `None` if another shard owns it.
     fn slot(&self, addr: AddressId) -> Option<usize> {
+        if self.stride == 1 {
+            return Some(addr as usize); // unsharded: skip the division
+        }
         (addr % self.stride == self.shard).then(|| (addr / self.stride) as usize)
     }
 
@@ -381,7 +418,7 @@ impl ChangeScanner {
     /// updating only its own addresses), so per-shard state stays in
     /// lockstep with what one unsharded scanner would hold.
     pub fn absorb(&mut self, tx: &ResolvedTx) {
-        let input_set: HashSet<AddressId> = tx.inputs.iter().map(|i| i.address).collect();
+        let inputs = InputAddresses::of(tx);
         for out in &tx.outputs {
             let Some(s) = self.slot(out.address) else { continue };
             if s >= self.receive_count.len() {
@@ -389,7 +426,7 @@ impl ChangeScanner {
                 self.was_self_change.resize(s + 1, false);
             }
             self.receive_count[s] += 1;
-            if input_set.contains(&out.address) {
+            if inputs.contains(out.address) {
                 self.was_self_change[s] = true;
             }
         }
@@ -433,6 +470,8 @@ pub fn identify(chain: &ResolvedChain, config: &ChangeConfig) -> ChangeLabels {
 mod tests {
     use super::*;
     use crate::testutil::TestChain;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
 
     /// cb(1) → tx[(2, fresh), (1-seen? no...)] — canonical change shape:
     /// input from addr 1, pays previously-seen addr 2, change to fresh 3.
@@ -746,6 +785,160 @@ mod tests {
             &t.chain.txs[spend],
             &ChangeConfig::naive(),
         );
+    }
+
+    /// Reference for [`precondition_skip`]: condition 3 through a hash set
+    /// of the input addresses.
+    fn precondition_skip_oracle(tx: &ResolvedTx, config: &ChangeConfig) -> Option<SkipReason> {
+        if tx.is_coinbase {
+            return Some(SkipReason::Coinbase);
+        }
+        if tx.outputs.len() < config.min_outputs.max(1) {
+            return Some(SkipReason::TooFewOutputs);
+        }
+        let input_set: HashSet<AddressId> = tx.inputs.iter().map(|i| i.address).collect();
+        if tx.outputs.iter().any(|o| input_set.contains(&o.address)) {
+            return Some(SkipReason::SelfChange);
+        }
+        None
+    }
+
+    /// Reference for [`ChangeScanner::absorb`], through the same hash set.
+    fn absorb_oracle(scanner: &mut ChangeScanner, tx: &ResolvedTx) {
+        let input_set: HashSet<AddressId> = tx.inputs.iter().map(|i| i.address).collect();
+        for out in &tx.outputs {
+            let Some(s) = scanner.slot(out.address) else { continue };
+            if s >= scanner.receive_count.len() {
+                scanner.receive_count.resize(s + 1, 0);
+                scanner.was_self_change.resize(s + 1, false);
+            }
+            scanner.receive_count[s] += 1;
+            if input_set.contains(&out.address) {
+                scanner.was_self_change[s] = true;
+            }
+        }
+    }
+
+    /// A free-standing transaction over the given input and output
+    /// addresses (coinbases drop their inputs).
+    fn raw_tx(coinbase: bool, ins: &[AddressId], outs: &[AddressId]) -> ResolvedTx {
+        use fistful_chain::amount::Amount;
+        use fistful_chain::resolve::ResolvedOutput;
+        let ins = if coinbase { &[][..] } else { ins };
+        ResolvedTx {
+            txid: Default::default(),
+            height: 0,
+            time: 0,
+            is_coinbase: coinbase,
+            inputs: ins
+                .iter()
+                .map(|&address| ResolvedInput {
+                    address,
+                    value: Amount::from_sat(1),
+                    prev_tx: 0,
+                    prev_vout: 0,
+                })
+                .collect(),
+            outputs: outs
+                .iter()
+                .map(|&address| ResolvedOutput {
+                    address,
+                    value: Amount::from_sat(1),
+                    spent_by: None,
+                })
+                .collect(),
+        }
+    }
+
+    /// Checks the kernels against the oracles on one transaction stream:
+    /// condition 3 under both output-count gates, and the absorbed state of
+    /// an unsharded and a 3-way sharded scanner after every transaction.
+    fn check_against_oracles(txs: &[ResolvedTx]) -> Result<(), TestCaseError> {
+        let mut scanners: Vec<ChangeScanner> = std::iter::once(ChangeScanner::new())
+            .chain((0..3).map(|s| ChangeScanner::for_shard(s, 3)))
+            .collect();
+        let mut oracles = scanners.clone();
+        for tx in txs {
+            for min_outputs in [1, 2] {
+                let cfg = ChangeConfig { min_outputs, ..ChangeConfig::naive() };
+                prop_assert_eq!(precondition_skip(tx, &cfg), precondition_skip_oracle(tx, &cfg));
+            }
+            for (scanner, oracle) in scanners.iter_mut().zip(&mut oracles) {
+                scanner.absorb(tx);
+                absorb_oracle(oracle, tx);
+                prop_assert_eq!(&scanner.receive_count, &oracle.receive_count);
+                prop_assert_eq!(&scanner.was_self_change, &oracle.was_self_change);
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn oracle_h2_paths_switch_at_the_size_bound() {
+        let at = raw_tx(false, &[7; 32], &[1; 32]); // exactly 1024 pairs
+        assert!(matches!(InputAddresses::of(&at), InputAddresses::Scan(_)));
+        let above = raw_tx(false, &[7; 33], &[1; 32]);
+        assert!(matches!(InputAddresses::of(&above), InputAddresses::Sorted(_)));
+        let above_self = raw_tx(false, &[7; 33], &[[1; 31].as_slice(), &[7]].concat());
+        for tx in [&at, &above, &above_self] {
+            check_against_oracles(std::slice::from_ref(tx)).unwrap();
+        }
+        assert_eq!(
+            precondition_skip(&above_self, &ChangeConfig::naive()),
+            Some(SkipReason::SelfChange)
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Small transactions over a handful of addresses: repeated
+        /// addresses on both sides, outputs paying input addresses,
+        /// coinbases and single-output sweeps.
+        #[test]
+        fn oracle_h2_kernels_on_small_transactions(
+            txs in proptest::collection::vec(
+                (
+                    0u32..8,
+                    proptest::collection::vec(0u32..12, 0..6),
+                    proptest::collection::vec(0u32..12, 1..6),
+                ),
+                1..24,
+            )
+        ) {
+            let txs: Vec<ResolvedTx> = txs
+                .iter()
+                .map(|(kind, ins, outs)| raw_tx(*kind == 0, ins, outs))
+                .collect();
+            check_against_oracles(&txs)?;
+        }
+
+        /// Transactions on both sides of [`DIRECT_SCAN_PAIRS`], with an
+        /// output forced onto an input address in some of them.
+        #[test]
+        fn oracle_h2_kernels_around_the_size_bound(
+            txs in proptest::collection::vec(
+                (
+                    proptest::collection::vec(0u32..400, 1..70),
+                    proptest::collection::vec(0u32..400, 1..70),
+                    0usize..4,
+                ),
+                1..8,
+            )
+        ) {
+            let txs: Vec<ResolvedTx> = txs
+                .iter()
+                .map(|(ins, outs, pick)| {
+                    let mut outs = outs.clone();
+                    if *pick < 2 {
+                        let o = (pick * 31) % outs.len();
+                        outs[o] = ins[(pick * 17) % ins.len()];
+                    }
+                    raw_tx(false, ins, &outs)
+                })
+                .collect();
+            check_against_oracles(&txs)?;
+        }
     }
 
     #[test]

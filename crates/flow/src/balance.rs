@@ -94,33 +94,30 @@ pub fn balance_series_at(
     assert!(every > 0, "sampling interval must be positive");
     assert!(tx_end <= chain.tx_count(), "tx_end exceeds the chain");
 
-    // Sink flags: addresses that never spend within the window. The
-    // per-address spend lists are chain-ordered, so "no spend before
-    // tx_end" is one partition_point.
-    let n = chain.address_count();
-    let sink: Vec<bool> = (0..n as AddressId)
-        .map(|a| chain.spent_in(a).partition_point(|&t| (t as usize) < tx_end) == 0)
-        .collect();
-
-    let mut balances: Vec<u64> = vec![0; n]; // per-address, in satoshis
-    let mut per_category: BTreeMap<String, u64> = BTreeMap::new();
+    let (slots, names) = resolve_slots(chain, tx_end, directory);
+    let mut sums: Vec<u64> = vec![0; names.len()]; // per category, in satoshis
+    let mut seen: Vec<bool> = vec![false; names.len()];
     let mut supply: u64 = 0;
     let mut sink_held: u64 = 0;
 
     let mut out = Vec::new();
     let mut last_height: Option<u64> = None;
 
+    // Strings are built only here, once per emitted sample. A category
+    // credited once stays in every later sample, at 0 if it drained.
     let mut push_sample = |height: u64,
                            time: u64,
-                           per_category: &BTreeMap<String, u64>,
+                           sums: &[u64],
+                           seen: &[bool],
                            supply: u64,
                            sink_held: u64| {
         out.push(BalancePoint {
             height,
             time,
-            balances: per_category
+            balances: names
                 .iter()
-                .map(|(k, &v)| (k.clone(), Amount::from_sat(v)))
+                .filter(|&&(_, c)| seen[c as usize])
+                .map(|&(name, c)| (name.to_string(), Amount::from_sat(sums[c as usize])))
                 .collect(),
             supply: Amount::from_sat(supply),
             sink_held: Amount::from_sat(sink_held),
@@ -131,38 +128,76 @@ pub fn balance_series_at(
         // Sample boundary crossings before applying this tx.
         if let Some(prev) = last_height {
             if tx.height / every != prev / every {
-                push_sample(prev, tx.time, &per_category, supply, sink_held);
+                push_sample(prev, tx.time, &sums, &seen, supply, sink_held);
             }
         }
         last_height = Some(tx.height);
 
         for input in &tx.inputs {
-            let a = input.address as usize;
+            let slot = slots[input.address as usize];
             let v = input.value.to_sat();
-            balances[a] -= v;
             supply -= v;
-            debug_assert!(!sink[a], "sinks never spend");
-            if let Some(cat) = directory.category(input.address) {
-                *per_category.get_mut(cat).expect("category seen before") -= v;
+            debug_assert!(slot != SINK, "sinks never spend");
+            if slot < UNCATEGORISED {
+                let c = slot as usize;
+                assert!(seen[c], "category seen before");
+                sums[c] -= v;
             }
         }
         for out_ in &tx.outputs {
-            let a = out_.address as usize;
+            let slot = slots[out_.address as usize];
             let v = out_.value.to_sat();
-            balances[a] += v;
             supply += v;
-            if sink[a] {
+            if slot == SINK {
                 sink_held += v;
-            } else if let Some(cat) = directory.category(out_.address) {
-                *per_category.entry(cat.to_string()).or_insert(0) += v;
+            } else if slot != UNCATEGORISED {
+                sums[slot as usize] += v;
+                seen[slot as usize] = true;
             }
         }
     }
     if let Some(h) = last_height {
         let t = chain.txs[..tx_end].last().map(|t| t.time).unwrap_or(0);
-        push_sample(h, t, &per_category, supply, sink_held);
+        push_sample(h, t, &sums, &seen, supply, sink_held);
     }
     out
+}
+
+/// [`resolve_slots`] slot of an address that never spends within the window.
+const SINK: u32 = u32::MAX;
+/// [`resolve_slots`] slot of a spending address without a category.
+const UNCATEGORISED: u32 = u32::MAX - 1;
+
+/// Resolves every address once, before the transaction loop: its slot is
+/// [`SINK`], [`UNCATEGORISED`], or the index of its category. Also returns
+/// the categories as `(name, index)` in name order.
+///
+/// Sink flags cover the window `..tx_end`: the per-address spend lists are
+/// chain-ordered, so "no spend before `tx_end`" reads only the first entry.
+/// Sinks are never looked up in `directory` — their receives count as
+/// sink-held whatever their category.
+fn resolve_slots<'d>(
+    chain: &ResolvedChain,
+    tx_end: usize,
+    directory: &'d impl ServiceResolver,
+) -> (Vec<u32>, Vec<(&'d str, u32)>) {
+    let mut index: BTreeMap<&'d str, u32> = BTreeMap::new();
+    let slots = (0..chain.address_count() as AddressId)
+        .map(|a| {
+            let spends = chain.spent_in(a).first().is_some_and(|&t| (t as usize) < tx_end);
+            if !spends {
+                return SINK;
+            }
+            match directory.category(a) {
+                None => UNCATEGORISED,
+                Some(cat) => {
+                    let next = index.len() as u32;
+                    *index.entry(cat).or_insert(next)
+                }
+            }
+        })
+        .collect();
+    (slots, index.into_iter().collect())
 }
 
 #[cfg(test)]
@@ -170,6 +205,7 @@ mod tests {
     use super::*;
     use crate::categories::AddressDirectory;
     use fistful_core::testutil::TestChain;
+    use proptest::prelude::*;
 
     #[test]
     fn tracks_category_balances_over_time() {
@@ -287,6 +323,169 @@ mod tests {
 
         // The empty prefix yields no samples at all.
         assert!(balance_series_at(&t.chain, 0, &dir, 1).is_empty());
+    }
+
+    /// Reference for [`balance_series_at`]: categories looked up per input
+    /// and output in a `BTreeMap<String, _>`, with a per-address balance
+    /// whose `-=` checks that no address spends more than it received.
+    fn balance_series_at_oracle(
+        chain: &ResolvedChain,
+        tx_end: usize,
+        directory: &impl ServiceResolver,
+        every: u64,
+    ) -> Vec<BalancePoint> {
+        let n = chain.address_count();
+        let sink: Vec<bool> = (0..n as AddressId)
+            .map(|a| chain.spent_in(a).partition_point(|&t| (t as usize) < tx_end) == 0)
+            .collect();
+        let mut balances: Vec<u64> = vec![0; n];
+        let mut per_category: BTreeMap<String, u64> = BTreeMap::new();
+        let (mut supply, mut sink_held) = (0u64, 0u64);
+        let mut out = Vec::new();
+        let mut last: Option<(u64, u64)> = None; // (height, time)
+        let sample = |height, time, per_category: &BTreeMap<String, u64>, supply, sink_held| {
+            BalancePoint {
+                height,
+                time,
+                balances: per_category
+                    .iter()
+                    .map(|(k, &v)| (k.clone(), Amount::from_sat(v)))
+                    .collect(),
+                supply: Amount::from_sat(supply),
+                sink_held: Amount::from_sat(sink_held),
+            }
+        };
+        for tx in &chain.txs[..tx_end] {
+            if let Some((prev, _)) = last {
+                if tx.height / every != prev / every {
+                    out.push(sample(prev, tx.time, &per_category, supply, sink_held));
+                }
+            }
+            last = Some((tx.height, tx.time));
+            for input in &tx.inputs {
+                let a = input.address as usize;
+                let v = input.value.to_sat();
+                balances[a] -= v;
+                supply -= v;
+                assert!(!sink[a], "sinks never spend");
+                if let Some(cat) = directory.category(input.address) {
+                    *per_category.get_mut(cat).expect("category seen before") -= v;
+                }
+            }
+            for o in &tx.outputs {
+                let a = o.address as usize;
+                let v = o.value.to_sat();
+                balances[a] += v;
+                supply += v;
+                if sink[a] {
+                    sink_held += v;
+                } else if let Some(cat) = directory.category(o.address) {
+                    *per_category.entry(cat.to_string()).or_insert(0) += v;
+                }
+            }
+        }
+        if let Some((h, t)) = last {
+            out.push(sample(h, t, &per_category, supply, sink_held));
+        }
+        out
+    }
+
+    /// A random chain over `addrs` addresses. Each step is a coinbase or a
+    /// spend of one address's whole unspent balance (so categories drain
+    /// to exactly 0), in the same block as the previous transaction or the
+    /// next one. Each address gets one of a few categories or none.
+    fn random_chain(steps: &[(u8, u8, u8, u8)], addrs: u8) -> (TestChain, AddressDirectory) {
+        let mut t = TestChain::new();
+        let mut unspent: Vec<Vec<(usize, u32)>> = vec![Vec::new(); addrs as usize];
+        for &(kind, from, to, split) in steps {
+            let (from, to) = ((from % addrs) as usize, (to % addrs) as u64);
+            if kind % 3 == 0 || unspent[from].is_empty() {
+                let cb = t.coinbase(to, 1 + split as u64 % 50);
+                unspent[to as usize].push((cb, 0));
+                continue;
+            }
+            let spends = std::mem::take(&mut unspent[from]);
+            let total: u64 = spends
+                .iter()
+                .map(|&(h, v)| t.chain.txs[h].outputs[v as usize].value.to_sat() / 100_000_000)
+                .sum();
+            // Up to three outputs, possibly back to `from` (self-change)
+            // or to one address twice.
+            let mut outs = vec![(to, total / 2)];
+            if split % 2 == 0 {
+                outs.push((((to as usize + split as usize) % addrs as usize) as u64, total / 4));
+            }
+            if split % 5 == 0 {
+                outs.push((from as u64, total / 8));
+            }
+            let height = t.chain.txs.last().map_or(0, |tx| tx.height) + (kind % 2) as u64;
+            let tx = t.tx_at(&spends, &outs, Some(height));
+            for (vout, &(addr, _)) in outs.iter().enumerate() {
+                unspent[addr as usize].push((tx, vout as u32));
+            }
+        }
+        const CATEGORIES: [Option<&str>; 5] =
+            [None, Some("exchange"), Some("gambling"), Some("mix"), None];
+        let pairs = (0..t.chain.address_count())
+            .map(|a| {
+                let cat = CATEGORIES[(a * 7 + addrs as usize) % CATEGORIES.len()];
+                (cat.map(|c| format!("svc-{c}")), cat.map(str::to_string))
+            })
+            .collect();
+        (t, AddressDirectory::from_pairs(pairs))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Every prefix of a random chain, under several sampling
+        /// intervals, matches the oracle exactly — including the cuts at
+        /// which an address makes its first spend.
+        #[test]
+        fn oracle_balance_series_on_every_prefix(
+            steps in proptest::collection::vec(
+                (any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()),
+                1..40,
+            ),
+            addrs in 2u8..10,
+            every in 1u64..6,
+        ) {
+            let (t, dir) = random_chain(&steps, addrs);
+            let chain = &t.chain;
+            for tx_end in 0..=chain.tx_count() {
+                for every in [every, 1, 1 + every * 3] {
+                    prop_assert_eq!(
+                        balance_series_at(chain, tx_end, &dir, every),
+                        balance_series_at_oracle(chain, tx_end, &dir, every)
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn oracle_balance_drained_category_and_first_spend_at_the_cut() {
+        let mut t = TestChain::new();
+        let cb = t.coinbase(1, 50); // tx 0: addr 1 (mix) funded
+        let _ = t.coinbase(2, 50); // tx 1
+        let drain = t.tx(&[(cb, 0)], &[(2, 50)]); // tx 2: mix drained to 0
+        let n = t.chain.address_count();
+        let mut pairs = vec![(None, None); n];
+        pairs[t.id(1) as usize] = (Some("Mixer".into()), Some("mix".into()));
+        let dir = AddressDirectory::from_pairs(pairs);
+
+        let full = balance_series(&t.chain, &dir, 1);
+        assert_eq!(full, balance_series_at_oracle(&t.chain, t.chain.tx_count(), &dir, 1));
+        let last = full.last().unwrap();
+        assert_eq!(last.balances.get("mix"), Some(&Amount::ZERO));
+
+        // Cut exactly at addr 1's first spend: within the window it never
+        // spends, so it is a sink and "mix" is never credited.
+        let cut = balance_series_at(&t.chain, drain, &dir, 1);
+        assert_eq!(cut, balance_series_at_oracle(&t.chain, drain, &dir, 1));
+        let last = cut.last().unwrap();
+        assert!(last.balances.is_empty());
+        assert_eq!(last.sink_held, Amount::from_btc(100));
     }
 
     #[test]
