@@ -12,13 +12,16 @@
 //!    at memcpy-like rates, not per-element-loop rates.
 //! 3. **Delta append is O(changes).** Diffing two adjacent snapshots and
 //!    applying the delta costs proportional to what changed, not to the
-//!    snapshot.
+//!    snapshot. Besides a stale-aggregates base, the group times one real
+//!    live epoch: default scale, 4 shards, 16-block epochs, as
+//!    `repro serve --live` runs them.
 //!
 //! Measured at the default and large (paper-style) simulation scales.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use fistful_bench::{serve_artifacts, Workbench};
 use fistful_core::snapshot::{ClusterSnapshot, SnapshotDelta};
+use fistful_core::{IngestConfig, ShardedIngest};
 use fistful_flow::graph::TxGraph;
 use fistful_serve::ServeArtifacts;
 use fistful_sim::SimConfig;
@@ -92,6 +95,29 @@ fn bench_graph_container(c: &mut Criterion) {
     g.finish();
 }
 
+/// The exports bracketing the live epoch that reconciles past 90% of the
+/// chain, from sharded ingest with `repro serve --live` settings.
+fn live_epoch_pair(wb: &Workbench) -> (ClusterSnapshot, ClusterSnapshot) {
+    let chain = wb.eco.chain.resolved();
+    let mut pipe = ShardedIngest::new(IngestConfig::with_h2(4, 16, wb.refined_config()));
+    let target = chain.tx_count() * 9 / 10;
+    let mut prev: Option<ClusterSnapshot> = None;
+    let mut last = 0;
+    for block in chain.blocks() {
+        pipe.ingest_block(&block);
+        if pipe.reconciled_txs() == last {
+            continue;
+        }
+        last = pipe.reconciled_txs();
+        let snap = pipe.export_snapshot(chain, &wb.tagdb);
+        match prev {
+            Some(p) if last as usize >= target => return (p, snap),
+            _ => prev = Some(snap),
+        }
+    }
+    panic!("the chain ends before 90% of it is reconciled")
+}
+
 /// Claim 3: persisting after ingest. Diffing adjacent snapshots and
 /// applying the delta, versus re-encoding the whole successor snapshot.
 fn bench_delta_append(c: &mut Criterion) {
@@ -113,6 +139,14 @@ fn bench_delta_append(c: &mut Criterion) {
     });
     g.bench_function("apply", |b| {
         b.iter(|| std::hint::black_box(base.apply_delta(&delta).unwrap()))
+    });
+    let (epoch_base, epoch_next) = live_epoch_pair(wb);
+    let epoch_delta = SnapshotDelta::between(&epoch_base, &epoch_next);
+    g.bench_function("epoch16_diff", |b| {
+        b.iter(|| std::hint::black_box(SnapshotDelta::between(&epoch_base, &epoch_next)))
+    });
+    g.bench_function("epoch16_apply", |b| {
+        b.iter(|| std::hint::black_box(epoch_base.apply_delta(&epoch_delta).unwrap()))
     });
     g.bench_function("full_reencode", |b| {
         b.iter(|| {

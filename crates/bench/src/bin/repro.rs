@@ -1101,6 +1101,9 @@ fn store_append(scale: &str, dir: &str, epochs: usize, shards: usize, json: bool
     let mut prev: Option<ClusterSnapshot> = None;
     let mut base_bytes = 0u64;
     let mut delta_bytes = 0u64;
+    // Root-keyed delta totals: assign entries, the existing addresses
+    // among them (cluster root changed), and cluster rows.
+    let (mut assign_total, mut reassigned_total, mut rows_total) = (0u64, 0u64, 0u64);
     let mut delta_no = 0usize;
     let mut last_reconciled = 0;
     // At each epoch boundary (reconciled prefix advanced): the first export
@@ -1141,6 +1144,11 @@ fn store_append(scale: &str, dir: &str, epochs: usize, shards: usize, json: bool
                 let bytes =
                     store_or_die("cannot write delta", w.write_to(&dir_path.join(&file)));
                 delta_bytes += bytes;
+                assign_total += delta.assign.len() as u64;
+                reassigned_total +=
+                    delta.assign.iter().filter(|&&(a, _)| (a as usize) < p.address_count()).count()
+                        as u64;
+                rows_total += delta.clusters.len() as u64;
                 println!(
                     "boundary {}: delta {file} at tx {} — {bytes} bytes ({} assignments, {} clusters)",
                     *delta_no + 1,
@@ -1218,9 +1226,10 @@ fn store_append(scale: &str, dir: &str, epochs: usize, shards: usize, json: bool
         full.cluster_count()
     );
     println!(
-        "append cost: {delta_bytes} delta bytes total vs {full_export_bytes} per full re-export \
-         (deltas shrink toward O(new blocks) when epochs are merge-free; cross-epoch merges \
-         cascade cluster renumbering and grow them)"
+        "append cost: {delta_bytes} delta bytes total vs {full_export_bytes} per full re-export; \
+         {assign_total} assign entries ({reassigned_total} existing addresses whose cluster root \
+         changed) and {rows_total} cluster rows — deltas are keyed by cluster root, so a merge \
+         adds the absorbed addresses, not every later cluster's renumbering"
     );
     sink.push(Json::obj(vec![
         ("schema", "fistful.repro.store/1".into()),
@@ -1231,6 +1240,9 @@ fn store_append(scale: &str, dir: &str, epochs: usize, shards: usize, json: bool
         ("shards", (shards as u64).into()),
         ("base_bytes", base_bytes.into()),
         ("delta_bytes", delta_bytes.into()),
+        ("assign_entries", assign_total.into()),
+        ("reassigned", reassigned_total.into()),
+        ("cluster_entries", rows_total.into()),
         ("full_export_bytes", full_export_bytes.into()),
         ("seconds", elapsed.as_secs_f64().into()),
     ]));

@@ -550,54 +550,127 @@ impl ClusterSnapshot {
 
     // ----- delta snapshots -----
 
+    /// The root of every cluster, indexed by cluster id: the lowest
+    /// address id assigned to it (`u32::MAX` for a cluster no address is
+    /// assigned to). Roots name clusters independently of the dense
+    /// numbering, so they survive the renumbering a merge causes.
+    fn cluster_roots(&self) -> Vec<u32> {
+        let mut roots = vec![u32::MAX; self.clusters.len()];
+        for (addr, &c) in self.assignment.iter().enumerate() {
+            let root = &mut roots[c as usize];
+            if *root == u32::MAX {
+                *root = addr as u32;
+            }
+        }
+        roots
+    }
+
+    /// The row of the cluster whose root is `root`, given this snapshot's
+    /// [`cluster_roots`](Self::cluster_roots); `None` if `root` is not a
+    /// root here.
+    fn row_of_root(&self, roots: &[u32], root: u32) -> Option<&ClusterInfo> {
+        let c = *self.assignment.get(root as usize)? as usize;
+        (roots[c] == root).then(|| &self.clusters[c])
+    }
+
     /// Applies one epoch's [`SnapshotDelta`] to this base, producing the
-    /// snapshot the delta was diffed against. Fails with
-    /// [`SnapshotError::Inconsistent`] if the delta does not cover every
-    /// new address or the result violates snapshot invariants.
+    /// snapshot the delta was diffed against.
+    ///
+    /// The fold works on roots: each base address starts at its cluster's
+    /// root, the delta's `assign` entries overwrite roots, and one
+    /// ascending pass renumbers the roots densely in first-appearance
+    /// order — the numbering [`ClusterSnapshot::build`] uses — while
+    /// checking that every root is the lowest address of its cluster.
+    /// Rows come from the delta where it carries one and from the base
+    /// cluster with the same root otherwise.
+    ///
+    /// Fails with [`SnapshotError::Inconsistent`] if the delta's entries
+    /// are not strictly ascending, name an address past the declared
+    /// count, leave a new address uncovered, name a root that is not the
+    /// lowest address of its cluster, key a row by an address that is not
+    /// a root, leave a new cluster without a row, or declare a cluster
+    /// count other than the number of roots — and if the result violates
+    /// the snapshot invariants.
     pub fn apply_delta(&self, delta: &SnapshotDelta) -> Result<ClusterSnapshot, SnapshotError> {
-        let new_addrs = delta.address_count as usize;
-        if new_addrs < self.assignment.len() {
+        let n = delta.address_count as usize;
+        let base_len = self.assignment.len();
+        if n < base_len {
             return Err(SnapshotError::Inconsistent("delta shrinks the address space"));
         }
-        let mut assignment = self.assignment.clone();
-        let base_len = assignment.len();
+        let base_roots = self.cluster_roots();
+        let mut root: Vec<u32> = Vec::with_capacity(n);
+        root.extend(self.assignment.iter().map(|&c| base_roots[c as usize]));
         // New slots start as a sentinel the delta must overwrite: a gap
         // means the delta and base disagree about what "new" means.
-        assignment.resize(new_addrs, u32::MAX);
+        root.resize(n, u32::MAX);
         let mut last = None;
-        for &(addr, cluster) in &delta.assign {
+        for &(addr, r) in &delta.assign {
             if last.is_some_and(|p| p >= addr) {
                 return Err(SnapshotError::Inconsistent(
                     "delta assignment entries are not strictly ascending",
                 ));
             }
             last = Some(addr);
-            if (addr as usize) >= new_addrs {
+            let slot = root.get_mut(addr as usize).ok_or(SnapshotError::Inconsistent(
+                "delta assigns an address past its declared count",
+            ))?;
+            *slot = r;
+        }
+        if root[base_len..].contains(&u32::MAX) {
+            return Err(SnapshotError::Inconsistent("delta does not cover every new address"));
+        }
+
+        // Dense renumbering: a root gets the next id when the ascending
+        // pass reaches it, and every other address copies its root's id.
+        let mut assignment = vec![0u32; n];
+        let mut roots: Vec<u32> = Vec::new();
+        for a in 0..n {
+            let r = root[a] as usize;
+            if r > a || root[r] as usize != r {
                 return Err(SnapshotError::Inconsistent(
-                    "delta assigns an address past its declared count",
+                    "delta names a root that is not the lowest address of its cluster",
                 ));
             }
-            assignment[addr as usize] = cluster;
+            assignment[a] = if r == a {
+                roots.push(a as u32);
+                roots.len() as u32 - 1
+            } else {
+                assignment[r]
+            };
         }
-        if assignment[base_len..].contains(&u32::MAX) {
+        if roots.len() != delta.cluster_count as usize {
             return Err(SnapshotError::Inconsistent(
-                "delta does not cover every new address",
+                "delta cluster count disagrees with its roots",
             ));
         }
-        let mut clusters = self.clusters.clone();
-        clusters.resize(delta.cluster_count as usize, ClusterInfo::default());
-        let mut last = None;
-        for (id, info) in &delta.clusters {
-            if last.is_some_and(|p| p >= *id) {
+
+        if delta.clusters.windows(2).any(|w| w[0].0 >= w[1].0) {
+            return Err(SnapshotError::Inconsistent(
+                "delta cluster entries are not strictly ascending",
+            ));
+        }
+        let mut rows = delta.clusters.iter().peekable();
+        let mut clusters = Vec::with_capacity(roots.len());
+        for &r in &roots {
+            if rows.peek().is_some_and(|(key, _)| *key < r) {
                 return Err(SnapshotError::Inconsistent(
-                    "delta cluster entries are not strictly ascending",
+                    "delta keys a cluster row by an address that is not a root",
                 ));
             }
-            last = Some(*id);
-            let slot = clusters.get_mut(*id as usize).ok_or(SnapshotError::Inconsistent(
-                "delta updates a cluster past its declared count",
-            ))?;
-            *slot = info.clone();
+            let row = match rows.next_if(|(key, _)| *key == r) {
+                Some((_, info)) => info,
+                // No row in the delta: the cluster is unchanged, so the
+                // base must hold a cluster with the same root.
+                None => self
+                    .row_of_root(&base_roots, r)
+                    .ok_or(SnapshotError::Inconsistent("delta leaves a new cluster without a row"))?,
+            };
+            clusters.push(row.clone());
+        }
+        if rows.next().is_some() {
+            return Err(SnapshotError::Inconsistent(
+                "delta keys a cluster row by an address that is not a root",
+            ));
         }
         let snapshot = ClusterSnapshot {
             assignment,
@@ -627,20 +700,26 @@ impl ClusterSnapshot {
 }
 
 /// One epoch's worth of snapshot change: everything that differs between
-/// a base [`ClusterSnapshot`] and its successor.
+/// a base [`ClusterSnapshot`] and its successor, keyed by cluster *root*.
 ///
-/// Persisting after an incremental ingest epoch writes one of these — a
-/// few new/changed assignments and cluster rows — instead of re-exporting
-/// the whole O(chain) snapshot. [`ClusterSnapshot::from_base_and_deltas`]
-/// folds the sequence back, byte-identical to a full export.
+/// A cluster's root is its lowest address id — the representative
+/// `union_min` already keeps, and the member that names a cluster in
+/// Reid & Harrigan's user-network contraction. Dense cluster ids are
+/// numbered in first-appearance order, so one merge shifts the id of
+/// every later cluster; roots do not move when that happens. A delta
+/// therefore lists only the addresses whose root changed (new addresses,
+/// and the members of a cluster absorbed by a lower-rooted one) and the
+/// rows of new or changed clusters.
+/// [`ClusterSnapshot::apply_delta`] rebuilds the dense numbering as it
+/// folds, so the result is byte-identical to a full export.
 ///
-/// **Renumbering caveat:** canonical cluster ids are dense in
-/// first-appearance order, so a cross-epoch merge can cascade-renumber
-/// every later cluster; such a delta legitimately degrades toward a full
-/// export. Epochs without cross-epoch merges — the common case the
-/// incremental pipeline optimizes for — produce deltas proportional to
-/// the epoch's new blocks, which the store tests assert against real
-/// file sizes.
+/// **Measured size** (default economy, `repro serve --live` settings:
+/// 4 shards, 16-block epochs, 38 deltas over the whole chain): keyed by
+/// dense id the deltas held 936,285 assignment entries and ~695k cluster
+/// rows, 26.7 MB, because ~23,000 of ~61,000 addresses were renumbered
+/// every epoch. Keyed by root they hold 91,620 entries and 69,255 rows,
+/// 3.2 MB: about 800 existing addresses change root per epoch.
+/// `tests/store.rs` pins the total below twice the address count.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SnapshotDelta {
     /// Tip height of the successor snapshot.
@@ -652,13 +731,13 @@ pub struct SnapshotDelta {
     pub address_count: u64,
     /// Cluster count of the successor snapshot.
     pub cluster_count: u32,
-    /// `(address id, new cluster id)` pairs, strictly ascending by
-    /// address: every new address plus every existing address whose
-    /// cluster changed.
+    /// `(address id, root)` pairs, strictly ascending by address: every
+    /// new address plus every existing address whose cluster's root
+    /// changed.
     pub assign: Vec<(u32, u32)>,
-    /// `(cluster id, full new row)` pairs, strictly ascending by id:
-    /// every new cluster plus every existing cluster whose aggregates,
-    /// size, or naming changed.
+    /// `(root, full new row)` pairs, strictly ascending by root: every
+    /// new cluster plus every existing cluster whose aggregates, size, or
+    /// naming changed.
     pub clusters: Vec<(u32, ClusterInfo)>,
 }
 
@@ -667,22 +746,33 @@ impl SnapshotDelta {
     /// least the addresses of `base`).
     ///
     /// Panics if `new` has fewer addresses than `base` — deltas only move
-    /// forward.
+    /// forward — or if `new` is not numbered the way
+    /// [`ClusterSnapshot::build`] numbers clusters (dense, in order of
+    /// each cluster's lowest address, no empty cluster), since the fold
+    /// could not reproduce it.
     pub fn between(base: &ClusterSnapshot, new: &ClusterSnapshot) -> SnapshotDelta {
         assert!(
             new.assignment.len() >= base.assignment.len(),
             "delta target has fewer addresses than its base"
         );
+        let base_roots = base.cluster_roots();
+        let new_roots = new.cluster_roots();
+        assert!(
+            new_roots.windows(2).all(|w| w[0] < w[1]) && new_roots.last() != Some(&u32::MAX),
+            "delta target is not numbered in first-appearance order"
+        );
+        let base_root_of = |addr: usize| base.assignment.get(addr).map(|&c| base_roots[c as usize]);
         let mut assign = Vec::new();
-        for (addr, &cluster) in new.assignment.iter().enumerate() {
-            if base.assignment.get(addr) != Some(&cluster) {
-                assign.push((addr as u32, cluster));
+        for (addr, &c) in new.assignment.iter().enumerate() {
+            let root = new_roots[c as usize];
+            if base_root_of(addr) != Some(root) {
+                assign.push((addr as u32, root));
             }
         }
         let mut clusters = Vec::new();
-        for (id, info) in new.clusters.iter().enumerate() {
-            if base.clusters.get(id) != Some(info) {
-                clusters.push((id as u32, info.clone()));
+        for (info, &root) in new.clusters.iter().zip(&new_roots) {
+            if base.row_of_root(&base_roots, root) != Some(info) {
+                clusters.push((root, info.clone()));
             }
         }
         SnapshotDelta {
@@ -700,8 +790,20 @@ impl SnapshotDelta {
         self.assign.is_empty() && self.clusters.is_empty()
     }
 
-    /// Adds the delta to a columnar container: changed assignments as two
-    /// parallel u32 columns plus the changed cluster rows.
+    /// True if the delta only adds: every `assign` address and every row
+    /// root is at or above `base_addresses`, the base's address count. No
+    /// existing address then changes cluster, no existing cluster's row
+    /// changes, and — since every new root sorts after every old one —
+    /// no existing cluster's dense id moves.
+    pub fn is_additive(&self, base_addresses: usize) -> bool {
+        self.assign.iter().all(|&(a, _)| a as usize >= base_addresses)
+            && self.clusters.iter().all(|&(r, _)| r as usize >= base_addresses)
+    }
+
+    /// Adds the delta to a columnar container: the `assign` pairs as two
+    /// parallel u32 columns (`delta/assign_addr`, `delta/assign_root`),
+    /// the row roots (`delta/cluster_roots`), and the encoded rows
+    /// (`delta/cluster_infos`).
     pub fn write_store(&self, out: &mut fistful_store::StoreWriter) {
         let mut meta = Writer::new();
         meta.u64(self.tip_height);
@@ -709,18 +811,14 @@ impl SnapshotDelta {
         meta.u64(self.address_count);
         meta.u32(self.cluster_count);
         out.segment("delta/meta", meta.into_bytes());
-        let addrs: Vec<u32> = self.assign.iter().map(|&(a, _)| a).collect();
-        let ids: Vec<u32> = self.assign.iter().map(|&(_, c)| c).collect();
-        let mut w = Writer::new();
-        w.u32_slice(&addrs);
-        out.segment("delta/assign_addr", w.into_bytes());
-        let mut w = Writer::new();
-        w.u32_slice(&ids);
-        out.segment("delta/assign_cluster", w.into_bytes());
-        let cids: Vec<u32> = self.clusters.iter().map(|&(id, _)| id).collect();
-        let mut w = Writer::new();
-        w.u32_slice(&cids);
-        out.segment("delta/cluster_ids", w.into_bytes());
+        let column = |values: Vec<u32>| {
+            let mut w = Writer::new();
+            w.u32_slice(&values);
+            w.into_bytes()
+        };
+        out.segment("delta/assign_addr", column(self.assign.iter().map(|&(a, _)| a).collect()));
+        out.segment("delta/assign_root", column(self.assign.iter().map(|&(_, r)| r).collect()));
+        out.segment("delta/cluster_roots", column(self.clusters.iter().map(|&(r, _)| r).collect()));
         let mut w = Writer::new();
         for (_, info) in &self.clusters {
             info.encode(&mut w);
@@ -730,11 +828,18 @@ impl SnapshotDelta {
 
     /// Reads a delta back from a columnar container. Ordering and range
     /// invariants are enforced later by [`ClusterSnapshot::apply_delta`],
-    /// which sees base and delta together.
+    /// which sees base and delta together. A delta written keyed by dense
+    /// cluster id (`delta/assign_cluster`, `delta/cluster_ids`) is refused
+    /// here: its ids would fold to a different partition.
     pub fn read_store(
         store: &mut fistful_store::Store,
     ) -> Result<SnapshotDelta, fistful_store::StoreError> {
         use fistful_store::StoreError;
+        if store.has("delta/assign_cluster") || store.has("delta/cluster_ids") {
+            return Err(StoreError::Inconsistent(
+                "delta is keyed by dense cluster id (older format); rebuild the store",
+            ));
+        }
         let meta = store.bytes("delta/meta")?;
         let mut r = Reader::new(&meta);
         let tip_height = r.u64()?;
@@ -743,17 +848,17 @@ impl SnapshotDelta {
         let cluster_count = r.u32()?;
         r.finish()?;
         let addrs = store.u32s("delta/assign_addr")?;
-        let ids = store.u32s("delta/assign_cluster")?;
-        if addrs.len() != ids.len() {
+        let roots = store.u32s("delta/assign_root")?;
+        if addrs.len() != roots.len() {
             return Err(StoreError::Inconsistent("delta assignment columns disagree on length"));
         }
-        let assign = addrs.into_iter().zip(ids).collect();
-        let cids = store.u32s("delta/cluster_ids")?;
+        let assign = addrs.into_iter().zip(roots).collect();
+        let row_roots = store.u32s("delta/cluster_roots")?;
         let info_bytes = store.bytes("delta/cluster_infos")?;
         let mut r = Reader::new(&info_bytes);
-        let mut clusters = Vec::with_capacity(cids.len());
-        for id in cids {
-            clusters.push((id, ClusterInfo::decode(&mut r)?));
+        let mut clusters = Vec::with_capacity(row_roots.len());
+        for root in row_roots {
+            clusters.push((root, ClusterInfo::decode(&mut r)?));
         }
         r.finish()?;
         Ok(SnapshotDelta { tip_height, tx_count, address_count, cluster_count, assign, clusters })
@@ -1185,6 +1290,115 @@ mod tests {
             info.size += 1;
         }
         assert!(matches!(base.apply_delta(&bad), Err(SnapshotError::Inconsistent(_))));
+    }
+
+    /// An older one-address cluster absorbing a newer, larger one: `{1}`
+    /// is the first cluster, `{2,3,4}` the second (one co-spend), `{5}`,
+    /// `{6}`, `{7}` follow. The successor co-spends from 1 and 2 — so
+    /// `{1}` absorbs `{2,3,4}` and every later dense id shifts down by
+    /// one — and pays a fresh address 8.
+    fn merge_fixture() -> (TestChain, ClusterSnapshot, ClusterSnapshot) {
+        let mut t = TestChain::new();
+        let cb1 = t.coinbase(1, 50);
+        let cbs: Vec<usize> = (2..=4).map(|u| t.coinbase(u, 50)).collect();
+        t.tx(&[(cbs[0], 0), (cbs[1], 0), (cbs[2], 0)], &[(5, 150)]);
+        t.coinbase(6, 50);
+        t.coinbase(7, 50);
+        let snap = |t: &TestChain| {
+            let clustering = Clusterer::h1_only().run(&t.chain);
+            let names = name_clusters(&clustering, &TagDb::new());
+            ClusterSnapshot::build(&t.chain, &clustering, &names)
+        };
+        let base = snap(&t);
+        let cb2 = t.coinbase(2, 10);
+        t.tx(&[(cb1, 0), (cb2, 0)], &[(8, 60)]);
+        let new = snap(&t);
+        (t, base, new)
+    }
+
+    #[test]
+    fn delta_of_a_merge_holds_only_new_and_absorbed_addresses() {
+        let (t, base, new) = merge_fixture();
+        let [one, two, three, four, eight] = [1, 2, 3, 4, 8].map(|u| t.id(u));
+        assert_eq!(base.cluster_count(), 5);
+        assert_eq!(new.cluster_count(), 5);
+        // Dense ids moved for every cluster after the merged one...
+        let moved = (0..base.address_count() as u32)
+            .filter(|&a| base.cluster_of(a) != new.cluster_of(a))
+            .count();
+        assert_eq!(moved, base.address_count() - 1, "all but address 1 renumbered");
+        // ...yet the root-keyed delta names exactly the absorbed cluster's
+        // members and the new address, and the rows of the grown cluster
+        // and the new one.
+        let delta = SnapshotDelta::between(&base, &new);
+        assert_eq!(delta.assign, vec![(two, one), (three, one), (four, one), (eight, eight)]);
+        let roots: Vec<u32> = delta.clusters.iter().map(|&(r, _)| r).collect();
+        assert_eq!(roots, vec![one, eight]);
+        assert_eq!(delta.clusters[0].1.size, 4);
+        assert!(!delta.is_additive(base.address_count()));
+        // The fold rebuilds the dense numbering byte for byte.
+        assert_eq!(base.apply_delta(&delta).unwrap().to_bytes(), new.to_bytes());
+        let mut w = fistful_store::StoreWriter::new();
+        delta.write_store(&mut w);
+        let mut store = fistful_store::Store::open_bytes(w.to_bytes()).unwrap();
+        let reread = SnapshotDelta::read_store(&mut store).unwrap();
+        assert_eq!(reread, delta);
+    }
+
+    #[test]
+    fn apply_delta_corruption_matrix() {
+        let (t, base, new) = merge_fixture();
+        let good = SnapshotDelta::between(&base, &new);
+        let [one, two, three, eight] = [1, 2, 3, 8].map(|u| t.id(u));
+        type Corrupt = Box<dyn Fn(&mut SnapshotDelta)>;
+        let cases: Vec<(&str, Corrupt)> = vec![
+            (
+                "delta assignment entries are not strictly ascending",
+                Box::new(|d| d.assign.swap(0, 1)),
+            ),
+            (
+                "delta cluster entries are not strictly ascending",
+                Box::new(|d| d.clusters.swap(0, 1)),
+            ),
+            (
+                "delta names a root that is not the lowest address of its cluster",
+                Box::new(move |d| d.assign[0] = (two, three)),
+            ),
+            (
+                // Address 3 is the lowest of no cluster: it belongs to 1's.
+                "delta names a root that is not the lowest address of its cluster",
+                Box::new(move |d| *d.assign.last_mut().unwrap() = (eight, three)),
+            ),
+            (
+                "delta keys a cluster row by an address that is not a root",
+                Box::new(move |d| d.clusters[1].0 = two),
+            ),
+            (
+                "delta keys a cluster row by an address that is not a root",
+                Box::new(|d| d.clusters.push((d.address_count as u32 + 3, ClusterInfo::default()))),
+            ),
+            ("delta leaves a new cluster without a row", Box::new(|d| {
+                d.clusters.pop();
+            })),
+            ("delta cluster count disagrees with its roots", Box::new(|d| d.cluster_count += 1)),
+            (
+                "delta assigns an address past its declared count",
+                Box::new(|d| {
+                    let past = d.address_count as u32;
+                    d.assign.push((past, past));
+                }),
+            ),
+        ];
+        assert_eq!(good.clusters[0].0, one);
+        for (expected, corrupt) in cases {
+            let mut bad = good.clone();
+            corrupt(&mut bad);
+            assert_eq!(
+                base.apply_delta(&bad),
+                Err(SnapshotError::Inconsistent(expected)),
+                "case {expected:?}"
+            );
+        }
     }
 
     #[test]

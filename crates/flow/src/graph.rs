@@ -384,11 +384,17 @@ impl TxGraph {
 
     // ----- columnar store format -----
 
-    /// Adds the graph to a columnar container, one segment per CSR array
-    /// (`graph/out_start`, `graph/out_address`, …) plus a `graph/meta`
-    /// segment of cross-check counts, so [`TxGraph::read_store`] can
-    /// reconstruct the graph with bulk reads into pre-sized buffers — no
-    /// per-element decode, and no rebuild pass over the chain.
+    /// Adds the graph to a columnar container, one segment per stored CSR
+    /// array (`graph/out_start`, `graph/out_address`, `graph/out_value`,
+    /// `graph/in_start`, `graph/in_source`) plus a `graph/meta` segment of
+    /// cross-check counts, so [`TxGraph::read_store`] can reconstruct the
+    /// graph with bulk reads into pre-sized buffers and no pass over the
+    /// chain.
+    ///
+    /// `out_spender`, `first_seen` and `last_spent` are not written: each
+    /// is a function of the stored columns (`in_source` names every spent
+    /// output, `out_address` every receiving address), and `read_store`
+    /// derives all three in one pass.
     pub fn write_store(&self, out: &mut fistful_store::StoreWriter) {
         use fistful_chain::encode::Writer;
         let mut meta = Writer::new();
@@ -408,17 +414,22 @@ impl TxGraph {
         let mut w = Writer::new();
         w.u64_slice(&sats);
         out.segment("graph/out_value", w.into_bytes());
-        out.segment("graph/out_spender", col(&self.out_spender));
         out.segment("graph/in_start", col(&self.in_start));
         out.segment("graph/in_source", col(&self.in_source));
-        out.segment("graph/first_seen", col(&self.first_seen));
-        out.segment("graph/last_spent", col(&self.last_spent));
     }
 
     /// Reads a graph back from a columnar container, validating the CSR
     /// invariants (monotone prefix arrays, cross-referencing flat ids and
-    /// transaction ids in range) before exposing any accessor — the
-    /// accessors index unchecked, so a corrupt file must fail here.
+    /// address ids in range) before exposing any accessor — the accessors
+    /// index unchecked, so a corrupt file must fail here.
+    ///
+    /// The derived columns come from one pass over the transactions:
+    /// an input of transaction `t` spending flat output `f` sets
+    /// `out_spender[f] = t` and `last_spent[address of f] = t`, and the
+    /// first output paying an address sets its `first_seen`. An output
+    /// spent twice, or an address no output pays, is rejected. Files that
+    /// still carry the three columns (written before they were derived)
+    /// open the same way; the stored copies are not read.
     pub fn read_store(
         store: &mut fistful_store::Store,
     ) -> Result<TxGraph, fistful_store::StoreError> {
@@ -435,11 +446,8 @@ impl TxGraph {
         let out_address = store.u32s("graph/out_address")?;
         let out_value: Vec<Amount> =
             store.u64s("graph/out_value")?.into_iter().map(Amount::from_sat).collect();
-        let out_spender = store.u32s("graph/out_spender")?;
         let in_start = store.u32s("graph/in_start")?;
         let in_source = store.u32s("graph/in_source")?;
-        let first_seen = store.u32s("graph/first_seen")?;
-        let last_spent = store.u32s("graph/last_spent")?;
 
         let check_prefix = |starts: &[u32], flat_len: usize, what: &'static str| {
             if starts.len() != tx_count + 1 {
@@ -457,17 +465,11 @@ impl TxGraph {
         };
         check_prefix(&out_start, output_count, "graph out_start is not monotone from zero")?;
         check_prefix(&in_start, input_count, "graph in_start is not monotone from zero")?;
-        if out_address.len() != output_count
-            || out_value.len() != output_count
-            || out_spender.len() != output_count
-        {
+        if out_address.len() != output_count || out_value.len() != output_count {
             return Err(StoreError::Inconsistent("graph output columns disagree on length"));
         }
         if in_source.len() != input_count {
             return Err(StoreError::Inconsistent("graph input column disagrees on length"));
-        }
-        if first_seen.len() != addr_count || last_spent.len() != addr_count {
-            return Err(StoreError::Inconsistent("graph liveness columns disagree on length"));
         }
         if in_source.iter().any(|&f| f as usize >= output_count) {
             return Err(StoreError::Inconsistent("graph input references a flat id out of range"));
@@ -477,14 +479,29 @@ impl TxGraph {
                 "graph output references an address id out of range",
             ));
         }
-        let tx_ok = |&t: &u32| t == NO_TX || (t as usize) < tx_count;
-        if !out_spender.iter().all(tx_ok)
-            || !first_seen.iter().all(tx_ok)
-            || !last_spent.iter().all(tx_ok)
-        {
-            return Err(StoreError::Inconsistent(
-                "graph references a transaction id out of range",
-            ));
+
+        let mut out_spender = vec![NO_TX; output_count];
+        let mut first_seen = vec![NO_TX; addr_count];
+        let mut last_spent = vec![NO_TX; addr_count];
+        for t in 0..tx_count {
+            let tx = t as TxId;
+            for &f in &in_source[in_start[t] as usize..in_start[t + 1] as usize] {
+                let spender = &mut out_spender[f as usize];
+                if *spender != NO_TX {
+                    return Err(StoreError::Inconsistent("graph output is spent twice"));
+                }
+                *spender = tx;
+                last_spent[out_address[f as usize] as usize] = tx;
+            }
+            for &a in &out_address[out_start[t] as usize..out_start[t + 1] as usize] {
+                let seen = &mut first_seen[a as usize];
+                if *seen == NO_TX {
+                    *seen = tx;
+                }
+            }
+        }
+        if first_seen.contains(&NO_TX) {
+            return Err(StoreError::Inconsistent("graph address never receives an output"));
         }
         Ok(TxGraph {
             out_start,
@@ -756,30 +773,60 @@ mod tests {
         // Re-encode the container with one column replaced, for each
         // corruption that must be caught by the semantic validator (the
         // container layer cannot see it: checksums are recomputed).
+        // Each case names the diagnosis it must produce.
         type Corruption = (&'static str, Box<dyn Fn(&mut TxGraph)>);
         let cases: Vec<Corruption> = vec![
-            ("non-monotone out_start", Box::new(|g| g.out_start[1] = u32::MAX)),
-            ("prefix/flat disagreement", Box::new(|g| *g.out_start.last_mut().unwrap() += 1)),
-            ("in_source out of range", Box::new(|g| g.in_source[0] = u32::MAX - 1)),
-            ("out_address out of range", Box::new(|g| g.out_address[0] = u32::MAX - 1)),
-            ("out_spender out of range", Box::new(|g| g.out_spender[0] = 1 << 20)),
-            ("short liveness", Box::new(|g| { g.first_seen.pop(); })),
-            ("wrong prefix length", Box::new(|g| { g.out_start.pop(); })),
+            ("graph out_start is not monotone from zero", Box::new(|g| g.out_start[1] = u32::MAX)),
+            (
+                "graph output columns disagree on length",
+                Box::new(|g| *g.out_start.last_mut().unwrap() += 1),
+            ),
+            (
+                "graph input references a flat id out of range",
+                Box::new(|g| g.in_source[0] = u32::MAX - 1),
+            ),
+            (
+                "graph output references an address id out of range",
+                Box::new(|g| g.out_address[0] = u32::MAX - 1),
+            ),
+            ("graph prefix array has wrong length", Box::new(|g| { g.out_start.pop(); })),
+            // The derived columns are not stored, so a file cannot make
+            // them disagree with `in_source`; what it can still forge is
+            // an `in_source` that spends one output twice...
+            ("graph output is spent twice", Box::new(|g| g.in_source[1] = g.in_source[0])),
+            // ...or an address count that covers an address no output
+            // pays (the meta count follows `first_seen`'s length).
+            ("graph address never receives an output", Box::new(|g| g.first_seen.push(0))),
         ];
+        assert!(g.input_count() >= 2);
         for (what, corrupt) in cases {
             let mut bad = g.clone();
             corrupt(&mut bad);
             let mut w = fistful_store::StoreWriter::new();
             bad.write_store(&mut w);
             let mut store = fistful_store::Store::open_bytes(w.to_bytes()).unwrap();
-            assert!(
-                matches!(
-                    TxGraph::read_store(&mut store),
-                    Err(fistful_store::StoreError::Inconsistent(_))
-                ),
+            assert_eq!(
+                TxGraph::read_store(&mut store),
+                Err(fistful_store::StoreError::Inconsistent(what)),
                 "corruption not caught: {what}"
             );
         }
+    }
+
+    #[test]
+    fn files_that_store_the_derived_columns_still_open() {
+        // Containers written before the three columns were derived carry
+        // them as segments; the reader ignores them and derives its own.
+        let t = sample();
+        let g = TxGraph::build_with_threads(&t.chain, 2);
+        let mut w = fistful_store::StoreWriter::new();
+        g.write_store(&mut w);
+        let col = |vs: &[u32]| vs.iter().flat_map(|v| v.to_le_bytes()).collect::<Vec<u8>>();
+        w.segment("graph/out_spender", col(&g.out_spender));
+        w.segment("graph/first_seen", col(&g.first_seen));
+        w.segment("graph/last_spent", col(&g.last_spent));
+        let mut store = fistful_store::Store::open_bytes(w.to_bytes()).unwrap();
+        assert_eq!(TxGraph::read_store(&mut store).unwrap(), g);
     }
 
     #[test]

@@ -30,10 +30,14 @@
 //! [`flush`](ShardedIngest::flush) can resolve pending wait-to-label
 //! decisions (changing taint answers) without advancing the reconciled
 //! transaction watermark; such a publish must still raise the cache's
-//! graph floor. The snapshot floor is left in place when the delta shows
-//! the epoch was purely additive — no existing address reassigned, no
-//! existing cluster's aggregates touched — so still-valid cached
-//! `AddressInfo`/`ClusterSummary` entries survive non-merging epochs.
+//! graph floor. The snapshot floor is left in place when the root-keyed
+//! delta shows the epoch was purely additive
+//! ([`is_additive`](fistful_core::snapshot::SnapshotDelta::is_additive)):
+//! every reassigned address and every changed row's root at or above the
+//! base's address count. Then no existing address changed cluster, no
+//! existing cluster's row changed and no existing dense id moved, so
+//! still-valid cached `AddressInfo`/`ClusterSummary` entries survive such
+//! epochs.
 //!
 //! # Persistence and resume
 //!
@@ -56,7 +60,6 @@ use crate::store::{delta_file_name, delta_files, read_live_meta, LiveMeta, SERVE
 use fistful_chain::resolve::{BlockId, ResolvedChain};
 use fistful_core::change::ChangeConfig;
 use fistful_core::incremental::sharded::{IngestConfig, ShardedIngest};
-use fistful_core::snapshot::ClusterSnapshot;
 use fistful_core::tagdb::TagDb;
 use fistful_flow::balance_series_at;
 use fistful_flow::graph::TxGraph;
@@ -144,7 +147,8 @@ pub struct LivePipeline {
     config: LiveConfig,
     pipe: ShardedIngest,
     graph: TxGraph,
-    base: ClusterSnapshot,
+    /// The last published bundle; its snapshot is the base the next
+    /// epoch's delta is diffed against.
     current: Option<Arc<ServeArtifacts>>,
     blocks_fed: usize,
     epoch: u64,
@@ -164,7 +168,6 @@ impl LivePipeline {
         LivePipeline {
             pipe: ShardedIngest::new(ingest),
             graph: TxGraph::build_at(&chain, 0),
-            base: ClusterSnapshot::default(),
             current: None,
             blocks_fed: 0,
             epoch: 0,
@@ -249,7 +252,6 @@ impl LivePipeline {
         self.blocks_fed = meta.block_count as usize;
         self.epoch = meta.epoch;
         self.delta_seq = delta_files(&dir).map_err(store_err)?.len() + 1;
-        self.base = disk.snapshot.clone();
         self.graph = disk.graph.clone();
         self.last_cut = meta.tx_count as usize;
         let artifacts = Arc::new(disk);
@@ -278,8 +280,7 @@ impl LivePipeline {
         self.graph = TxGraph::build_at(&self.chain, cut);
         let balances = balance_series_at(&self.chain, cut, &snapshot, self.config.balance_every);
         let artifacts =
-            Arc::new(ServeArtifacts::new(snapshot.clone(), self.graph.clone(), labels, balances)?);
-        self.base = snapshot;
+            Arc::new(ServeArtifacts::new(snapshot, self.graph.clone(), labels, balances)?);
         self.last_cut = cut;
         self.current = Some(Arc::clone(&artifacts));
         Ok(artifacts)
@@ -303,17 +304,17 @@ impl LivePipeline {
     fn publish_epoch(&mut self, publisher: &Publisher, flushed: bool) -> Result<(), ServeError> {
         let swap_started = Instant::now();
         let cut = self.pipe.reconciled_txs() as usize;
-        let (snapshot, delta) = self.pipe.export_delta(&self.chain, &self.db, &self.base);
+        let base = &self.current.as_ref().expect("publish follows bootstrap").snapshot;
+        let (snapshot, delta) = self.pipe.export_delta(&self.chain, &self.db, base);
         // Purely additive epoch? Then every cached Some-bodied snapshot
         // answer is still byte-exact and may outlive the swap.
-        let ids_stable = delta.assign.iter().all(|&(a, _)| (a as usize) >= self.base.address_count())
-            && delta.clusters.iter().all(|(c, _)| self.base.info(*c).is_none());
+        let ids_stable = delta.is_additive(base.address_count());
         self.graph.extend_to(&self.chain, cut);
         let labels =
             self.pipe.change_labels().expect("live ingest always runs Heuristic 2").clone();
         let balances = balance_series_at(&self.chain, cut, &snapshot, self.config.balance_every);
         let artifacts =
-            Arc::new(ServeArtifacts::new(snapshot.clone(), self.graph.clone(), labels, balances)?);
+            Arc::new(ServeArtifacts::new(snapshot, self.graph.clone(), labels, balances)?);
         self.epoch += 1;
         if let Some(dir) = self.config.store_dir.clone() {
             if !delta.is_empty() {
@@ -331,7 +332,6 @@ impl LivePipeline {
         // swap, because that is the freshness lag a scraper cares about.
         publisher.core.metrics.swap_latency.observe(swap_started.elapsed());
         self.publishes += 1;
-        self.base = snapshot;
         self.last_cut = cut;
         self.current = Some(artifacts);
         Ok(())
@@ -474,6 +474,7 @@ mod tests {
     use crate::server::{ServeConfig, Server};
     use fistful_core::cluster::Clusterer;
     use fistful_core::naming::name_clusters;
+    use fistful_core::snapshot::ClusterSnapshot;
     use fistful_core::testutil::TestChain;
     use std::path::Path;
 
@@ -642,5 +643,104 @@ mod tests {
         assert_eq!(server.stats().epoch, report.final_epoch);
         assert_eq!(server.stats().swaps, report.publishes);
         server.shutdown();
+    }
+
+    #[test]
+    fn snapshot_floor_stays_on_additive_epochs_and_rises_on_merges_and_changes() {
+        use fistful_core::snapshot::SnapshotDelta;
+        let snap = |t: &TestChain| {
+            let clustering = Clusterer::h1_only().run(&t.chain);
+            let names = name_clusters(&clustering, &TagDb::new());
+            ClusterSnapshot::build(&t.chain, &clustering, &names)
+        };
+        // Two singleton clusters {1} and {2}, then one successor per case.
+        let two_users = || {
+            let mut t = TestChain::new();
+            let cbs = [t.coinbase(1, 50), t.coinbase(2, 50)];
+            (t, cbs)
+        };
+        let (t, _) = two_users();
+        let base = snap(&t);
+        // Additive: a fresh address in a fresh cluster.
+        let (mut additive, _) = two_users();
+        additive.coinbase(3, 50);
+        // Merge: the two existing clusters co-spend.
+        let (mut merge, [cb1, cb2]) = two_users();
+        merge.tx(&[(cb1, 0), (cb2, 0)], &[(3, 100)]);
+        // Aggregate change: an existing cluster receives again.
+        let (mut change, _) = two_users();
+        change.coinbase(2, 10);
+
+        let server = Server::start(
+            ServeConfig { workers: 1, cache_entries: 64, ..ServeConfig::default() },
+            Arc::new(ServeArtifacts::new(
+                base.clone(),
+                TxGraph::build(&t.chain),
+                fistful_core::change::identify(&t.chain, &ChangeConfig::naive()),
+                fistful_flow::balance_series(&t.chain, &base, 1),
+            )
+            .unwrap()),
+        )
+        .unwrap();
+        let publisher = server.publisher();
+        let current = || Arc::clone(&publisher.core.published.lock().unwrap().artifacts);
+        let floor = || publisher.core.published.lock().unwrap().floors.snapshot;
+        for (epoch, (successor, keeps_floor)) in
+            [(&additive, true), (&merge, false), (&additive, true), (&change, false)]
+                .into_iter()
+                .enumerate()
+        {
+            let epoch = epoch as u64 + 1;
+            let before = floor();
+            let delta = SnapshotDelta::between(&base, &snap(successor));
+            publisher.publish(current(), epoch, delta.is_additive(base.address_count()));
+            let expected = if keeps_floor { before } else { epoch };
+            assert_eq!(floor(), expected, "epoch {epoch}: keeps floor = {keeps_floor}");
+        }
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_dense_id_delta_from_the_older_format_forces_a_fresh_build() {
+        let t = economy();
+        let chain = Arc::new(t.chain);
+        let dir = temp_dir("dense-delta");
+        let mut live = LivePipeline::new(Arc::clone(&chain), TagDb::new(), config(Some(&dir)));
+        let artifacts = live.bootstrap().unwrap();
+        let server = Server::start(
+            ServeConfig { workers: 1, cache_entries: 0, ..ServeConfig::default() },
+            artifacts,
+        )
+        .unwrap();
+        live.run(&server.publisher(), &AtomicBool::new(false)).unwrap();
+        server.shutdown();
+
+        // Rewrite the first delta under the segment names older builds
+        // used for dense cluster ids.
+        let first = delta_files(&dir).unwrap().into_iter().next().expect("a delta file");
+        let mut old = fistful_store::Store::open(&first).unwrap();
+        let mut w = StoreWriter::new();
+        for (old_name, name) in [
+            ("delta/meta", "delta/meta"),
+            ("delta/assign_addr", "delta/assign_addr"),
+            ("delta/assign_cluster", "delta/assign_root"),
+            ("delta/cluster_ids", "delta/cluster_roots"),
+            ("delta/cluster_infos", "delta/cluster_infos"),
+        ] {
+            w.segment(old_name, old.bytes(name).unwrap());
+        }
+        w.write_to(&first).unwrap();
+
+        assert!(matches!(
+            ServeArtifacts::open_dir(&dir),
+            Err(StoreError::Inconsistent(what)) if what.contains("dense cluster id")
+        ));
+        let mut fresh = LivePipeline::new(Arc::clone(&chain), TagDb::new(), config(Some(&dir)));
+        let rebuilt = fresh.bootstrap().unwrap();
+        assert_eq!(fresh.epoch(), 0, "no resume from an unreadable delta");
+        assert_eq!(fresh.blocks_fed(), 4, "the warm-up prefix was ingested afresh");
+        assert!(delta_files(&dir).unwrap().is_empty(), "the fresh base save drops old deltas");
+        assert_eq!(ServeArtifacts::open_dir(&dir).unwrap().snapshot, rebuilt.snapshot);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -141,11 +141,13 @@ impl Gauge {
 ///
 /// Bucket `i < FINITE_BUCKETS` counts observations of at most `2^i` µs;
 /// the final bucket counts everything larger. `observe` is three
-/// relaxed atomic adds (bucket, sum, count) and never allocates.
+/// relaxed atomic adds (bucket, sum, count) and never allocates. The sum
+/// is kept in nanoseconds, so observations shorter than a microsecond —
+/// a Ping's time in the request core — still add to it.
 #[derive(Debug)]
 pub struct LatencyHistogram {
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-    sum_micros: AtomicU64,
+    sum_nanos: AtomicU64,
     count: AtomicU64,
 }
 
@@ -160,7 +162,7 @@ impl LatencyHistogram {
     pub fn new() -> LatencyHistogram {
         LatencyHistogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            sum_micros: AtomicU64::new(0),
+            sum_nanos: AtomicU64::new(0),
             count: AtomicU64::new(0),
         }
     }
@@ -181,7 +183,8 @@ impl LatencyHistogram {
             ((64 - (micros - 1).leading_zeros()) as usize).min(FINITE_BUCKETS)
         };
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.sum_micros.fetch_add(micros, Ordering::Relaxed);
+        let nanos = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
+        self.sum_nanos.fetch_add(nanos, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -190,19 +193,27 @@ impl LatencyHistogram {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Sum of all observed latencies, in microseconds.
+    /// Sum of all observed latencies, in nanoseconds.
+    pub fn sum_nanos(&self) -> u64 {
+        self.sum_nanos.load(Ordering::Relaxed)
+    }
+
+    /// Sum of all observed latencies, in microseconds, rounded to the
+    /// nearest from the nanosecond total.
     pub fn sum_micros(&self) -> u64 {
-        self.sum_micros.load(Ordering::Relaxed)
+        nanos_to_micros(self.sum_nanos())
     }
 
     /// Snapshots this histogram into a named, plain-value
     /// [`HistogramDump`] (non-cumulative buckets; the renderer
     /// accumulates).
     pub fn dump(&self, name: &str) -> HistogramDump {
+        let sum_nanos = self.sum_nanos();
         HistogramDump {
             name: name.to_string(),
             buckets: self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
-            sum_micros: self.sum_micros(),
+            sum_micros: nanos_to_micros(sum_nanos),
+            sum_nanos,
             count: self.count(),
         }
     }
@@ -268,8 +279,12 @@ pub struct HistogramDump {
     /// Per-bucket observation counts (not cumulative), the last bucket
     /// being the overflow (`+Inf`) bucket.
     pub buckets: Vec<u64>,
-    /// Sum of observed values in microseconds.
+    /// Sum of observed values in microseconds, rounded from
+    /// `sum_nanos`. This is the field the binary `MetricsDump` carries.
     pub sum_micros: u64,
+    /// Sum of observed values in nanoseconds, which the Prometheus `_sum`
+    /// renders. Not on the wire: a decoded dump holds `sum_micros * 1000`.
+    pub sum_nanos: u64,
     /// Total observations.
     pub count: u64,
 }
@@ -367,6 +382,11 @@ fn push_header(out: &mut String, emitted: &mut Vec<String>, family: &str, kind: 
     out.push('\n');
 }
 
+/// Nanoseconds to microseconds, rounded to the nearest.
+fn nanos_to_micros(nanos: u64) -> u64 {
+    nanos / 1000 + u64::from(nanos % 1000 >= 500)
+}
+
 /// Formats microseconds as decimal seconds without float rounding
 /// noise: `1` µs renders as `0.000001`.
 fn micros_as_seconds(micros: u64) -> String {
@@ -417,7 +437,8 @@ pub fn render_prometheus(dump: &MetricsDump) -> String {
             };
             out.push_str(&format!("{family}_bucket{le_prefix}le=\"{le}\"}} {cumulative}\n"));
         }
-        out.push_str(&format!("{family}_sum{labels} {}\n", micros_as_seconds(h.sum_micros)));
+        let (secs, nanos) = (h.sum_nanos / 1_000_000_000, h.sum_nanos % 1_000_000_000);
+        out.push_str(&format!("{family}_sum{labels} {secs}.{nanos:09}\n"));
         out.push_str(&format!("{family}_count{labels} {}\n", h.count));
     }
     out
@@ -461,6 +482,26 @@ mod tests {
         assert_eq!(d.buckets[FINITE_BUCKETS], 1, "120 s overflows");
         assert_eq!(d.count, 6);
         assert_eq!(d.sum_micros, 1 + 2 + 3 + (1 << 24) + 120_000_000);
+    }
+
+    #[test]
+    fn sub_microsecond_observations_add_to_the_sum() {
+        // Four 600 ns observations: 2.4 us in total, which a per-
+        // observation microsecond sum would have truncated to 0.
+        let h = LatencyHistogram::new();
+        for _ in 0..4 {
+            h.observe(Duration::from_nanos(600));
+        }
+        let d = h.dump("t");
+        assert_eq!(d.count, 4);
+        assert_eq!(d.buckets[0], 4);
+        assert_eq!(d.sum_nanos, 2400);
+        assert_eq!(d.sum_micros, 2, "rounded from the nanosecond total");
+        // Rounding is to the nearest microsecond.
+        h.observe(Duration::from_nanos(100));
+        assert_eq!(h.sum_micros(), 3, "2.5 us rounds up");
+        let dump = MetricsDump { histograms: vec![h.dump("t_seconds")], ..Default::default() };
+        assert!(render_prometheus(&dump).contains("t_seconds_sum 0.000002500\n"));
     }
 
     #[test]

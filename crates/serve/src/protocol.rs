@@ -637,7 +637,11 @@ impl Decodable for HistogramDump {
         for _ in 0..k {
             buckets.push(r.u64()?);
         }
-        Ok(HistogramDump { name, buckets, sum_micros: r.u64()?, count: r.u64()? })
+        let sum_micros = r.u64()?;
+        let count = r.u64()?;
+        // The wire carries microseconds only.
+        let sum_nanos = sum_micros.saturating_mul(1000);
+        Ok(HistogramDump { name, buckets, sum_micros, sum_nanos, count })
     }
 }
 
@@ -1176,6 +1180,7 @@ mod tests {
                     name: "fistful_request_latency_seconds{type=\"ping\"}".into(),
                     buckets: vec![4, 3, 2, 0],
                     sum_micros: 77,
+                    sum_nanos: 77_000,
                     count: 9,
                 }],
             }),

@@ -7,10 +7,12 @@
 //! <dir>/
 //!   chain.fst                 resolved chain columns (written by the CLI;
 //!                             not needed to serve — queries never touch it)
-//!   graph.fst                 TxGraph CSR arrays, segment per array
+//!   graph.fst                 TxGraph CSR arrays, segment per stored
+//!                             array (spender + liveness derived on read)
 //!   snapshot.fst              base ClusterSnapshot
-//!   snapshot.delta.000001.fst per-epoch delta containers, folded onto the
-//!   snapshot.delta.000002.fst base in lexical (= epoch) order on open
+//!   snapshot.delta.000001.fst per-epoch root-keyed delta containers,
+//!   snapshot.delta.000002.fst folded onto the base in lexical (= epoch)
+//!                             order on open
 //!   serve.fst                 change labels + balance series
 //! ```
 //!

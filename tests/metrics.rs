@@ -123,7 +123,9 @@ fn latency_histograms_fill_in_for_the_issued_mix() {
         .expect("ping latency histogram");
     assert_eq!(ping.count, 4);
     assert_eq!(ping.buckets.iter().sum::<u64>(), 4, "observations land in buckets");
-    assert!(ping.sum_micros > 0, "a socket round trip takes measurable time");
+    // The sum's value is timing: a Ping can spend under 1 us in the
+    // request core (the timer does not cover the socket). Sub-microsecond
+    // sums are pinned by `metrics::tests::sub_microsecond_observations_add_to_the_sum`.
 
     // Kinds that never ran stay empty rather than disappearing: the
     // exposition's series set is stable across scrapes.

@@ -3,9 +3,10 @@
 //! byte-identical to the in-RAM build — asserted structurally, and then
 //! over a live socket by comparing every request type's raw response
 //! frames between a server on the reopened bundle and a server on the
-//! original. A controlled merge-free chain additionally pins the delta
-//! snapshot cost claim: per-epoch delta files stay O(new blocks) while
-//! the full export grows with the chain.
+//! original. A controlled merge-free chain pins the delta snapshot cost
+//! claim — per-epoch delta files stay O(new blocks) while the full export
+//! grows with the chain — and the default economy, where cross-epoch
+//! merges are the rule, pins it for root-keyed deltas: O(changed).
 
 use fistful::chain::address::Address;
 use fistful::chain::amount::Amount;
@@ -253,4 +254,59 @@ fn merge_free_delta_files_stay_o_new_blocks() {
         "delta file sizes spread beyond page alignment: min {min}, max {max}"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The default economy streamed the way `repro serve --live` streams it
+/// (4 shards, 16-block epochs, refined Heuristic 2, an empty snapshot at
+/// block 0 as the base). Cross-epoch merges are common here, and each one
+/// renumbers every later dense cluster id; the root-keyed deltas must not
+/// pay for that. Over the whole run they hold fewer than two `assign`
+/// entries per address (a dense-id diff holds ~15), and base + deltas —
+/// through the container codec — fold to the full export, which is the
+/// batch snapshot.
+#[test]
+fn root_keyed_deltas_stay_o_changed_on_the_default_economy() {
+    let wb = Workbench::build(SimConfig::default());
+    let chain = wb.eco.chain.resolved();
+    let mut pipe = ShardedIngest::new(IngestConfig::with_h2(4, 16, wb.refined_config()));
+    let mut base = ClusterSnapshot::default();
+    let mut folded = ClusterSnapshot::default();
+    let (mut root_entries, mut dense_entries, mut deltas) = (0usize, 0usize, 0usize);
+    let mut epoch = |pipe: &mut ShardedIngest, base: &mut ClusterSnapshot| {
+        let (next, delta) = pipe.export_delta(chain, &wb.tagdb, base);
+        let mut w = StoreWriter::new();
+        delta.write_store(&mut w);
+        let mut store = Store::open_bytes(w.to_bytes()).expect("open delta container");
+        let reread = SnapshotDelta::read_store(&mut store).expect("decode delta");
+        folded = folded.apply_delta(&reread).expect("fold delta");
+        root_entries += delta.assign.len();
+        dense_entries += (0..next.address_count() as u32)
+            .filter(|&a| base.cluster_of(a) != next.cluster_of(a))
+            .count();
+        deltas += 1;
+        *base = next;
+    };
+    let mut last_reconciled = 0;
+    for block in chain.blocks() {
+        pipe.ingest_block(&block);
+        if pipe.reconciled_txs() != last_reconciled {
+            last_reconciled = pipe.reconciled_txs();
+            epoch(&mut pipe, &mut base);
+        }
+    }
+    pipe.flush(chain);
+    epoch(&mut pipe, &mut base);
+
+    let addresses = base.address_count();
+    assert!(deltas >= 30, "the default chain spans dozens of 16-block epochs: {deltas}");
+    assert!(
+        root_entries < 2 * addresses,
+        "{root_entries} root-keyed assign entries for {addresses} addresses"
+    );
+    assert!(
+        root_entries * 4 < dense_entries,
+        "root keys ({root_entries}) should be far below dense ids ({dense_entries})"
+    );
+    assert_eq!(folded.to_bytes(), base.to_bytes(), "base + deltas == full export");
+    assert_eq!(base.to_bytes(), wb.snapshot().to_bytes(), "incremental == batch");
 }
